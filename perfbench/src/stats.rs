@@ -1,0 +1,31 @@
+//! Order statistics over timing samples.
+
+/// The `q`-quantile (`0 <= q <= 1`) of `samples` by linear interpolation
+/// between closest ranks; `None` when there are no samples.
+pub fn quantile(samples: &[f64], q: f64) -> Option<f64> {
+    if samples.is_empty() {
+        return None;
+    }
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let rank = q * (sorted.len() - 1) as f64;
+    let (lo, hi) = (rank.floor() as usize, rank.ceil() as usize);
+    Some(sorted[lo] + (sorted[hi] - sorted[lo]) * (rank - lo as f64))
+}
+
+pub fn median(samples: &[f64]) -> Option<f64> {
+    quantile(samples, 0.5)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quantiles_interpolate_between_ranks() {
+        assert_eq!(median(&[3.0, 1.0, 2.0]), Some(2.0));
+        assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), Some(2.5));
+        assert_eq!(quantile(&[1.0, 2.0, 3.0, 4.0, 5.0], 1.0), Some(5.0));
+        assert_eq!(median(&[]), None);
+    }
+}
